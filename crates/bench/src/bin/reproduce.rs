@@ -84,11 +84,10 @@ fn main() {
                 println!(
                     "Usage: reproduce [--scale smoke|quick|paper] [--json <path>] [SELECTOR ...]"
                 );
-                println!("Selectors: all, table2..table13, figure1..figure5, sampling, overlap,");
-                println!(
-                    "           detectors, epsilon, samples, coe-salary, coe-homicide, ratio,"
-                );
-                println!("           direct, service, batch, verify, pool, mechanisms, wal");
+                println!("Selectors (aliases on one line select the same experiments):");
+                for (names, _) in ExperimentId::SELECTORS {
+                    println!("  {}", names.join(", "));
+                }
                 return;
             }
             other => selectors.push(other.to_string()),

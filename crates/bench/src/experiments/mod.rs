@@ -132,57 +132,66 @@ pub enum ExperimentId {
 }
 
 impl ExperimentId {
+    /// Every command-line selector group — aliases that select the same
+    /// experiments — in `--help` order. [`ExperimentId::parse`] reads this
+    /// table and `reproduce --help` prints it, so the two cannot drift.
+    pub const SELECTORS: &'static [(&'static [&'static str], &'static [ExperimentId])] = {
+        use ExperimentId::*;
+        &[
+            (
+                &["all"],
+                &[
+                    Sampling,
+                    Overlap,
+                    Detectors,
+                    EpsilonSweep,
+                    SamplesSweep,
+                    CoeMatchSalary,
+                    CoeMatchHomicide,
+                    RatioCheck,
+                    Direct,
+                    ServiceThroughput,
+                    BatchVsSingles,
+                    VerifyHotpath,
+                    PoolBreakeven,
+                    Mechanisms,
+                    Wal,
+                    Net,
+                ],
+            ),
+            (&["figures"], &[Sampling, Overlap, Detectors, EpsilonSweep, SamplesSweep]),
+            (&["table2", "table3", "sampling", "figure1"], &[Sampling]),
+            (&["table4", "table5", "overlap", "figure2"], &[Overlap]),
+            (&["table6", "table7", "detectors", "figure3"], &[Detectors]),
+            (&["table8", "table9", "epsilon", "figure4"], &[EpsilonSweep]),
+            (&["table10", "table11", "samples", "figure5"], &[SamplesSweep]),
+            (&["table12", "coe-salary"], &[CoeMatchSalary]),
+            (&["table13", "coe-homicide"], &[CoeMatchHomicide]),
+            (&["ratio"], &[RatioCheck]),
+            (&["direct"], &[Direct]),
+            (&["service", "throughput"], &[ServiceThroughput]),
+            (&["batch", "batch-vs-singles"], &[BatchVsSingles]),
+            (&["verify", "verify-hotpath", "hotpath"], &[VerifyHotpath]),
+            (&["pool", "pool-breakeven", "breakeven"], &[PoolBreakeven]),
+            (&["mechanisms", "mechanism"], &[Mechanisms]),
+            (&["wal", "durability", "wal-replay"], &[Wal]),
+            (&["net", "reactor", "wire"], &[Net]),
+        ]
+    };
+
     /// All experiments in presentation order.
     pub fn all() -> Vec<ExperimentId> {
-        vec![
-            ExperimentId::Sampling,
-            ExperimentId::Overlap,
-            ExperimentId::Detectors,
-            ExperimentId::EpsilonSweep,
-            ExperimentId::SamplesSweep,
-            ExperimentId::CoeMatchSalary,
-            ExperimentId::CoeMatchHomicide,
-            ExperimentId::RatioCheck,
-            ExperimentId::Direct,
-            ExperimentId::ServiceThroughput,
-            ExperimentId::BatchVsSingles,
-            ExperimentId::VerifyHotpath,
-            ExperimentId::PoolBreakeven,
-            ExperimentId::Mechanisms,
-            ExperimentId::Wal,
-            ExperimentId::Net,
-        ]
+        Self::parse("all")
     }
 
-    /// Parses a command-line selector into experiment ids.
+    /// Parses a command-line selector into experiment ids (empty for an
+    /// unknown selector).
     pub fn parse(selector: &str) -> Vec<ExperimentId> {
-        match selector {
-            "all" => Self::all(),
-            "table2" | "table3" | "sampling" | "figure1" => vec![ExperimentId::Sampling],
-            "table4" | "table5" | "overlap" | "figure2" => vec![ExperimentId::Overlap],
-            "table6" | "table7" | "detectors" | "figure3" => vec![ExperimentId::Detectors],
-            "table8" | "table9" | "epsilon" | "figure4" => vec![ExperimentId::EpsilonSweep],
-            "table10" | "table11" | "samples" | "figure5" => vec![ExperimentId::SamplesSweep],
-            "table12" | "coe-salary" => vec![ExperimentId::CoeMatchSalary],
-            "table13" | "coe-homicide" => vec![ExperimentId::CoeMatchHomicide],
-            "ratio" => vec![ExperimentId::RatioCheck],
-            "direct" => vec![ExperimentId::Direct],
-            "service" | "throughput" => vec![ExperimentId::ServiceThroughput],
-            "batch" | "batch-vs-singles" => vec![ExperimentId::BatchVsSingles],
-            "verify" | "verify-hotpath" | "hotpath" => vec![ExperimentId::VerifyHotpath],
-            "pool" | "pool-breakeven" | "breakeven" => vec![ExperimentId::PoolBreakeven],
-            "mechanisms" | "mechanism" => vec![ExperimentId::Mechanisms],
-            "wal" | "durability" | "wal-replay" => vec![ExperimentId::Wal],
-            "net" | "reactor" | "wire" => vec![ExperimentId::Net],
-            "figures" => vec![
-                ExperimentId::Sampling,
-                ExperimentId::Overlap,
-                ExperimentId::Detectors,
-                ExperimentId::EpsilonSweep,
-                ExperimentId::SamplesSweep,
-            ],
-            _ => vec![],
-        }
+        Self::SELECTORS
+            .iter()
+            .find(|(names, _)| names.contains(&selector))
+            .map(|(_, ids)| ids.to_vec())
+            .unwrap_or_default()
     }
 }
 
@@ -274,6 +283,27 @@ mod tests {
         for id in ExperimentId::all() {
             assert!(!id.to_string().is_empty());
         }
+    }
+
+    /// The `--help` table is the parser's table: every listed selector
+    /// parses, each is listed once, and every experiment is reachable
+    /// through a selector of its own.
+    #[test]
+    fn every_listed_selector_parses_and_every_experiment_is_listed() {
+        let mut seen = std::collections::HashSet::new();
+        for (names, ids) in ExperimentId::SELECTORS {
+            for name in *names {
+                assert!(seen.insert(*name), "selector `{name}` listed twice");
+                assert_eq!(ExperimentId::parse(name), ids.to_vec(), "selector `{name}`");
+            }
+        }
+        for id in ExperimentId::all() {
+            assert!(
+                ExperimentId::SELECTORS.iter().any(|(_, ids)| ids == &[id]),
+                "{id} has no selector"
+            );
+        }
+        assert!(seen.contains("net") && seen.contains("wal"));
     }
 
     #[test]

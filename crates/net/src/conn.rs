@@ -8,16 +8,15 @@
 //! pause/interest/deadline accessors. Everything here is synchronous and
 //! non-blocking; any condition that poisons the byte stream returns a
 //! [`CloseReason`] and the reactor drops the connection, which drops its
-//! queued [`PendingResponse`]/[`BatchStream`] handles — the server side
-//! observes the dropped stream, stops the batch at the next item boundary
-//! and refunds every unprocessed ε slice (see `Server::handle_batch`).
+//! queued [`PendingResponse`] handles — the server side observes a dropped
+//! batch stream, stops the batch at the next item boundary and refunds
+//! every unprocessed ε slice.
 
 use crate::metrics::NetMetrics;
 use crate::NetConfig;
 use pcor_faults::{site, Faults, SocketFault};
 use pcor_service::{
-    decode_request, encode_reply, BatchStream, EnvelopeSubmission, FrameDecoder, PendingResponse,
-    ResponseEnvelope, Server, WireError, WireReply,
+    decode_request, encode_reply, FrameDecoder, PendingResponse, Server, WireError, WireReply,
 };
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -69,10 +68,9 @@ impl CloseReason {
 /// order with its connection's other requests.
 #[derive(Debug)]
 enum PendingReply {
-    /// A single release in flight; `None` once consumed by `wait`.
-    Single { pending: Option<PendingResponse> },
-    /// A streaming batch: items drain as they finish, then the summary.
-    Stream { version: u16, stream: BatchStream },
+    /// Admitted and in flight: a batch's items drain as they finish, then
+    /// the terminal reply (a single has only the latter).
+    Admitted(Box<PendingResponse>),
     /// Refused at admission (or malformed): the error reply is owed but
     /// nothing is in flight.
     Refused { error: WireError },
@@ -136,9 +134,7 @@ impl Conn {
 
     /// Whether any admitted request is still unanswered.
     pub(crate) fn has_inflight(&self) -> bool {
-        self.queue
-            .iter()
-            .any(|entry| matches!(entry, PendingReply::Single { .. } | PendingReply::Stream { .. }))
+        self.queue.iter().any(|entry| matches!(entry, PendingReply::Admitted(_)))
     }
 
     /// Whether this connection owes the peer anything at all.
@@ -248,13 +244,8 @@ impl Conn {
             };
             metrics.frames_read.inc();
             let entry = match decode_request(&payload) {
-                Ok(envelope) => match server.try_submit_envelope_streaming(envelope) {
-                    Ok(EnvelopeSubmission::Single(pending)) => {
-                        PendingReply::Single { pending: Some(pending) }
-                    }
-                    Ok(EnvelopeSubmission::Stream { version, stream }) => {
-                        PendingReply::Stream { version, stream }
-                    }
+                Ok(envelope) => match server.try_submit_envelope(envelope) {
+                    Ok(pending) => PendingReply::Admitted(Box::new(pending)),
                     Err(err) => {
                         let error = WireError::from_service(&err);
                         if error.is_backpressure() {
@@ -307,30 +298,9 @@ impl Conn {
                     self.write_buf.extend_from_slice(&encode_reply(&reply));
                     self.queue.pop_front();
                 }
-                PendingReply::Single { pending } => {
-                    let finished =
-                        pending.as_mut().map(PendingResponse::is_finished).unwrap_or(true);
-                    if !finished {
-                        return false;
-                    }
-                    let outcome =
-                        pending.take().expect("single entry consumed exactly once").wait();
-                    let reply = match outcome {
-                        Ok(envelope) => {
-                            metrics.replies_response.inc();
-                            WireReply::Response(envelope)
-                        }
-                        Err(err) => {
-                            metrics.replies_error.inc();
-                            WireReply::Error(WireError::from_service(&err))
-                        }
-                    };
-                    self.write_buf.extend_from_slice(&encode_reply(&reply));
-                    self.queue.pop_front();
-                }
-                PendingReply::Stream { version, stream } => {
+                PendingReply::Admitted(pending) => {
                     while self.write_buf.len() - self.written < config.write_buf_limit {
-                        let Some(item) = stream.try_next_item() else { break };
+                        let Some(item) = pending.try_next_item() else { break };
                         metrics.replies_item.inc();
                         self.write_buf.extend_from_slice(&encode_reply(&WireReply::Item(item)));
                     }
@@ -338,16 +308,14 @@ impl Conn {
                         // Buffer full mid-stream: resume once flush drains.
                         return true;
                     }
-                    let Some(summary) = stream.try_take_summary() else {
+                    let Some(outcome) = pending.try_take() else {
                         // Head still computing: FIFO blocks later replies.
                         return false;
                     };
-                    let reply = match summary {
-                        Ok(response) => {
+                    let reply = match outcome {
+                        Ok(envelope) => {
                             metrics.replies_response.inc();
-                            WireReply::Response(
-                                ResponseEnvelope::batch(response).at_version(*version),
-                            )
+                            WireReply::Response(envelope)
                         }
                         Err(err) => {
                             metrics.replies_error.inc();

@@ -117,8 +117,7 @@ pub use request::{
     ResponseEnvelope, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
 };
 pub use server::{
-    BatchStream, EnvelopeSubmission, HealthReport, PendingBatch, PendingRelease, PendingResponse,
-    Server, ServerConfig,
+    BatchStream, HealthReport, PendingRelease, PendingResponse, Server, ServerConfig,
 };
 pub use wire::{
     decode_reply, decode_request, encode_reply, encode_request, frame_bytes, FrameDecoder,

@@ -179,10 +179,27 @@ impl ReleaseRequest {
     /// context is left unset: the server resolves it through the release
     /// session (warmed from the registry cache).
     pub fn to_config(&self) -> PcorConfig {
-        let config = PcorConfig::new(self.algorithm, self.epsilon).with_samples(self.samples);
-        match self.mechanism {
-            Some(mechanism) => config.with_mechanism(mechanism),
-            None => config,
+        let batch = self.clone().into_batch();
+        batch.item_config(&batch.items[0])
+    }
+
+    /// The same query as a batch of one item — how the server serves it:
+    /// the item's [`BatchReleaseRequest::item_config`] equals
+    /// [`ReleaseRequest::to_config`].
+    pub fn into_batch(self) -> BatchReleaseRequest {
+        let item = BatchItem {
+            record_id: self.record_id,
+            epsilon: self.epsilon,
+            samples: self.samples,
+            seed: self.seed,
+        };
+        BatchReleaseRequest {
+            analyst: self.analyst,
+            dataset: self.dataset,
+            detector: self.detector,
+            algorithm: self.algorithm,
+            mechanism: self.mechanism,
+            items: vec![item],
         }
     }
 }

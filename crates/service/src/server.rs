@@ -1,64 +1,54 @@
-//! The release server: request execution on a shared work-stealing pool.
+//! The release server: one serving pipeline on a shared work-stealing pool.
 //!
 //! [`Server::start`] owns (or [`Server::start_with_pool`] borrows) a
 //! resident [`pcor_runtime::ThreadPool`] and submits every request as a
-//! task on it — there is no dedicated request thread per worker anymore,
-//! and the *same* pool that executes requests also executes the
-//! fork-join shards of the incremental verification engine (sessions are
-//! built with the pool attached, so `ShardPolicy::pooled` sharding and
-//! pooled COE enumeration engage for large datasets). One set of resident
-//! threads serves both inter-release concurrency and intra-release
-//! parallelism; the helping fork-join of `pcor-runtime` makes that nesting
+//! task on it. The *same* pool also executes the fork-join shards of the
+//! incremental verification engine (sessions are built with the pool
+//! attached); the helping fork-join of `pcor-runtime` makes that nesting
 //! deadlock-free.
 //!
-//! [`Server::submit`] / [`Server::submit_batch`] enqueue a request and
-//! return a completion handle ([`PendingRelease`] / [`PendingBatch`]:
-//! `wait()` blocks, `is_finished()` polls); [`Server::try_submit`] and
-//! [`Server::try_submit_batch`] refuse with [`ServiceError::QueueFull`]
-//! instead of blocking when `queue_capacity` requests are already in
-//! flight (back-pressure for load generators). Raw envelopes go through
-//! [`Server::submit_envelope`]. Every response carries the end-to-end
-//! latency (queue wait included) and the analyst's remaining budget.
+//! # One pipeline
 //!
-//! [`Server::submit_batch_streaming`] returns a [`BatchStream`] that
-//! yields each item's result **as it finishes** instead of blocking until
-//! the slowest item: the serving task pushes item responses through a
-//! bounded channel (capacity 1, so the server computes at most one item
-//! ahead of the consumer — streaming back-pressure), then a final summary.
-//! Dropping the stream cancels the batch's unprocessed items and refunds
-//! their ε slices.
+//! Every request is served as a batch: a [`ReleaseRequest`] becomes a
+//! [`BatchReleaseRequest`] of one item, and its [`ReleaseResponse`] is
+//! rebuilt from that item plus the batch summary. One dispatcher spawns the
+//! serving task, which fires the `service.release` fault seam, answers a
+//! request queued past its deadline without reserving, and otherwise
+//! reserves the **sum** of the items' ε (refused whole if it does not fit),
+//! serves the items in order on one shared [`pcor_core::ReleaseSession`],
+//! commits what released and refunds the rest. After the reply it runs the
+//! WAL auto-checkpoint and the cache autotuner. A released single therefore
+//! journals one `Reserved` and one `Committed` event; a panicking task
+//! refunds via the reservation's drop guard. Sharing the session lets
+//! repeat records replay from the memoized verifier.
 //!
-//! Budget safety under concurrency comes from the ledger's two-phase
-//! protocol: a task *reserves* the request's ε — for a batch (streamed or
-//! not), the **sum** of the per-item budgets, refused whole if it does not
-//! fit — before touching the dataset, *commits* what the successful
-//! releases consumed and *refunds* the rest (for a batch: each failed
-//! item's slice). A panicking task refunds via the reservation's drop
-//! guard, and the pool isolates the panic so the worker survives.
-//!
-//! A batch is served on one [`pcor_core::ReleaseSession`]: the detector is
-//! built once and every record's memoized verifier is shared across the
-//! batch's items, so repeat records cost strictly fewer fresh `f_M`
-//! verification calls than equivalent single requests.
+//! The entry points differ only in how they admit and what they return:
+//! [`Server::submit_envelope`] blocks while `queue_capacity` requests are
+//! in flight and returns a [`PendingResponse`] (wrapped by
+//! [`Server::submit`], [`Server::execute`] and [`Server::execute_batch`]);
+//! [`Server::try_submit_envelope`], the network front's admission, refuses
+//! with [`ServiceError::QueueFull`] instead and streams a batch's items on
+//! the handle as they finish; [`Server::submit_batch_streaming`] streams
+//! them on a [`BatchStream`]. A streamed handle is fed through a channel of
+//! capacity 1, so the server computes at most one item ahead of the
+//! consumer; dropping it cancels the unprocessed items and refunds their ε.
 //!
 //! # Hardened lifecycle
 //!
 //! A v2 envelope may carry a deadline (`deadline_ms`); it becomes a
-//! [`pcor_core::cancel::CancelToken`] the whole serving path shares. A
-//! queued request already past its deadline is answered
-//! [`ServiceError::DeadlineExceeded`] without reserving; one cancelled
-//! mid-release stops within a single verification call (the verifier
-//! checks the token before every fresh evaluation) and the reservation's
-//! drop refunds exactly the reserved slice — no private draw was
-//! published, so no ε is owed. At admission, a deadline the estimated
-//! queue wait (mean latency × in-flight count) already exceeds is shed
-//! with [`ServiceError::Overloaded`] and a `retry_after` hint, *before*
-//! taking an in-flight slot; literal capacity exhaustion keeps its own
-//! reactive refusal, [`ServiceError::QueueFull`]. [`Server::health`]
-//! rolls the lifecycle into a readiness report (journal breaker state
-//! included on durable servers), mirrored into the Prometheus scrape as
-//! `pcor_ready`, `pcor_breaker_state`, `pcor_deadline_exceeded_total`,
-//! `pcor_shed_total` and `pcor_retries_total`.
+//! [`pcor_core::cancel::CancelToken`] the verifier checks before every
+//! fresh evaluation. A deadline that expires mid-item stops the request
+//! within one verification call: the cut item and every unprocessed item
+//! are refunded (no draw was published for them), items already released
+//! stay committed, and the request counts once as deadline-exceeded, never
+//! as failed. At admission, a deadline the estimated queue wait (mean
+//! latency × in-flight count) already exceeds is shed with
+//! [`ServiceError::Overloaded`] and a `retry_after` hint, *before* taking
+//! an in-flight slot. [`Server::health`] rolls the lifecycle into a
+//! readiness report (journal breaker state included on durable servers),
+//! mirrored into the Prometheus scrape as `pcor_ready`,
+//! `pcor_breaker_state`, `pcor_deadline_exceeded_total`, `pcor_shed_total`
+//! and `pcor_retries_total`.
 
 use crate::durable::{DurableLedger, JournalHealth};
 use crate::ledger::BudgetLedger;
@@ -66,11 +56,11 @@ use crate::metrics::{ServerMetrics, ServerMetricsSnapshot};
 use crate::registry::{CacheStats, DatasetRegistry};
 use crate::request::{
     BatchItemResponse, BatchReleaseRequest, BatchReleaseResponse, ItemOutcome, ItemRelease,
-    ReleaseRequest, ReleaseResponse, RequestBody, RequestEnvelope, ResponseEnvelope,
+    ReleaseRequest, ReleaseResponse, RequestBody, RequestEnvelope, ResponseBody, ResponseEnvelope,
 };
 use crate::{Result, ServiceError};
 use pcor_core::cancel::CancelToken;
-use pcor_core::ReleaseSession;
+use pcor_core::{PcorError, ReleaseSession};
 use pcor_dp::{MechanismKind, PopulationSizeUtility};
 use pcor_faults::{site, Faults};
 use pcor_runtime::{PoolStats, ThreadPool};
@@ -78,7 +68,7 @@ use pcor_telemetry::{MetricsRegistry, SpanId, Telemetry, TraceId};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Configuration of the server's execution pool.
 #[derive(Debug, Clone)]
@@ -86,7 +76,8 @@ pub struct ServerConfig {
     /// Number of resident pool workers (when the server owns its pool).
     pub workers: usize,
     /// Maximum number of requests in flight (queued or executing) before
-    /// [`Server::try_submit`] refuses and [`Server::submit`] blocks.
+    /// [`Server::try_submit_envelope`] refuses and [`Server::submit`]
+    /// blocks.
     pub queue_capacity: usize,
     /// Fault-injection handle for the serving path ([`Faults::disabled`]
     /// in production): the `service.release` seam fires at the start of
@@ -189,47 +180,101 @@ impl Drop for InflightSlot {
     }
 }
 
-/// A completion handle for a submitted envelope; resolves to the response
-/// envelope.
+/// One message from a serving task to its handle.
+enum Event {
+    /// A finished batch item (streamed handles only).
+    Item(BatchItemResponse),
+    /// The terminal reply.
+    Done(Result<ResponseEnvelope>),
+}
+
+/// A completion handle for a submitted envelope: streamed batch items (if
+/// the envelope was admitted to stream), then the response envelope.
+///
+/// Dropping the handle of a streamed batch cancels its unprocessed items
+/// and refunds their ε slices (items already released stay committed —
+/// their mechanism ran); a dropped non-streamed request runs to completion.
 #[derive(Debug)]
 pub struct PendingResponse {
-    receiver: mpsc::Receiver<Result<ResponseEnvelope>>,
-    ready: Option<Result<ResponseEnvelope>>,
+    receiver: mpsc::Receiver<Event>,
+    items: VecDeque<BatchItemResponse>,
+    done: Option<Result<ResponseEnvelope>>,
 }
 
 impl PendingResponse {
-    fn new(receiver: mpsc::Receiver<Result<ResponseEnvelope>>) -> Self {
-        PendingResponse { receiver, ready: None }
+    fn new(receiver: mpsc::Receiver<Event>) -> Self {
+        PendingResponse { receiver, items: VecDeque::new(), done: None }
     }
 
-    /// Whether the response is ready (never blocks).
+    /// Moves one event from the serving task into the buffers, blocking
+    /// for it when `block`. Returns `false` once the reply has arrived or,
+    /// when not blocking, if no event is ready.
+    fn pull(&mut self, block: bool) -> bool {
+        if self.done.is_some() {
+            return false;
+        }
+        let event = if block {
+            self.receiver.recv().ok()
+        } else {
+            match self.receiver.try_recv() {
+                Ok(event) => Some(event),
+                Err(mpsc::TryRecvError::Empty) => return false,
+                Err(mpsc::TryRecvError::Disconnected) => None,
+            }
+        };
+        match event {
+            Some(Event::Item(item)) => self.items.push_back(item),
+            Some(Event::Done(outcome)) => self.done = Some(outcome),
+            // The task died without answering (panic, pool shutdown).
+            None => self.done = Some(Err(ServiceError::Shutdown)),
+        }
+        true
+    }
+
+    /// Blocks for the next streamed item; `None` once every item has been
+    /// yielded (the reply is then ready for [`PendingResponse::wait`]).
+    pub fn next_item(&mut self) -> Option<BatchItemResponse> {
+        while self.items.is_empty() && self.pull(true) {}
+        self.items.pop_front()
+    }
+
+    /// A streamed item if one is ready right now, `None` otherwise. This is
+    /// the poll surface the network reactor drains between epoll wakeups —
+    /// it never parks a reactor thread on a slow release.
+    pub fn try_next_item(&mut self) -> Option<BatchItemResponse> {
+        if self.items.is_empty() {
+            self.pull(false);
+        }
+        self.items.pop_front()
+    }
+
+    /// Whether the reply (and with it the request's final accounting) has
+    /// arrived. Never blocks; items drained on the way stay buffered for
+    /// [`PendingResponse::next_item`].
     pub fn is_finished(&mut self) -> bool {
-        if self.ready.is_some() {
-            return true;
-        }
-        match self.receiver.try_recv() {
-            Ok(outcome) => {
-                self.ready = Some(outcome);
-                true
-            }
-            Err(mpsc::TryRecvError::Empty) => false,
-            Err(mpsc::TryRecvError::Disconnected) => {
-                self.ready = Some(Err(ServiceError::Shutdown));
-                true
-            }
+        while self.pull(false) {}
+        self.done.is_some()
+    }
+
+    /// Takes the reply once every streamed item has been yielded; `None`
+    /// while items are pending or still buffered. Never blocks.
+    pub fn try_take(&mut self) -> Option<Result<ResponseEnvelope>> {
+        if self.is_finished() && self.items.is_empty() {
+            self.done.take()
+        } else {
+            None
         }
     }
 
-    /// Blocks until the serving task has answered.
+    /// Blocks until the serving task has answered, discarding any streamed
+    /// items not yet yielded.
     ///
     /// # Errors
     /// Propagates the request's service error, or
     /// [`ServiceError::Shutdown`] if the server stopped first.
     pub fn wait(mut self) -> Result<ResponseEnvelope> {
-        if let Some(outcome) = self.ready.take() {
-            return outcome;
-        }
-        self.receiver.recv().map_err(|_| ServiceError::Shutdown)?
+        while self.pull(true) {}
+        self.done.take().unwrap_or(Err(ServiceError::Shutdown))
     }
 }
 
@@ -257,56 +302,22 @@ impl PendingRelease {
     }
 }
 
-/// A completion handle for a submitted batch request.
-#[derive(Debug)]
-pub struct PendingBatch {
-    inner: PendingResponse,
-}
-
-impl PendingBatch {
-    /// Whether the response is ready (never blocks).
-    pub fn is_finished(&mut self) -> bool {
-        self.inner.is_finished()
-    }
-
-    /// Blocks until the serving task has answered.
-    ///
-    /// # Errors
-    /// Propagates the batch's service error (a refused batch is one error;
-    /// per-item failures are inside the response), or
-    /// [`ServiceError::Shutdown`] if the server stopped first.
-    pub fn wait(self) -> Result<BatchReleaseResponse> {
-        self.inner.wait()?.into_batch().ok_or_else(|| {
-            ServiceError::InvalidRequest("protocol violation: single answer to a batch".into())
-        })
-    }
-}
-
-/// One event of a streamed batch.
-pub(crate) enum StreamEvent {
-    Item(BatchItemResponse),
-    Done(Result<BatchReleaseResponse>),
-}
-
 /// An incrementally resolving batch created by
 /// [`Server::submit_batch_streaming`].
 ///
 /// [`BatchStream::next_item`] yields each item's result as soon as the
 /// serving task finishes it — the analyst sees early results while later
-/// items are still searching. The channel between server and stream is
-/// bounded at one item, so the server computes at most one item ahead of
-/// the consumer (streaming back-pressure). After the last item,
-/// [`BatchStream::wait`] returns the same [`BatchReleaseResponse`] summary
-/// a [`PendingBatch`] would have: one summed-ε reservation up front,
-/// per-item commits and refunds resolved at the end.
+/// items are still searching. After the last item, [`BatchStream::wait`]
+/// returns the same [`BatchReleaseResponse`] summary
+/// [`Server::execute_batch`] would have: one summed-ε reservation up
+/// front, per-item commits and refunds resolved at the end.
 ///
 /// Dropping the stream early **cancels** the batch: items not yet
 /// processed are skipped and their ε slices refunded with the failed
 /// items' (items already released stay committed — their mechanism ran).
+#[derive(Debug)]
 pub struct BatchStream {
-    receiver: mpsc::Receiver<StreamEvent>,
-    buffered: VecDeque<BatchItemResponse>,
-    done: Option<Result<BatchReleaseResponse>>,
+    inner: PendingResponse,
 }
 
 impl BatchStream {
@@ -314,82 +325,14 @@ impl BatchStream {
     /// has been yielded (the summary is then available via
     /// [`BatchStream::wait`]).
     pub fn next_item(&mut self) -> Option<BatchItemResponse> {
-        if let Some(item) = self.buffered.pop_front() {
-            return Some(item);
-        }
-        if self.done.is_some() {
-            return None;
-        }
-        match self.receiver.recv() {
-            Ok(StreamEvent::Item(item)) => Some(item),
-            Ok(StreamEvent::Done(summary)) => {
-                self.done = Some(summary);
-                None
-            }
-            Err(_) => {
-                self.done = Some(Err(ServiceError::Shutdown));
-                None
-            }
-        }
-    }
-
-    /// Non-blocking [`BatchStream::next_item`]: a finished item if one is
-    /// ready right now, `None` otherwise (which means *not yet* until
-    /// [`BatchStream::try_take_summary`] returns the final accounting).
-    /// This is the poll surface the network reactor drains between epoll
-    /// wakeups — it must never park a reactor thread on a slow release.
-    pub fn try_next_item(&mut self) -> Option<BatchItemResponse> {
-        if let Some(item) = self.buffered.pop_front() {
-            return Some(item);
-        }
-        if self.done.is_some() {
-            return None;
-        }
-        match self.receiver.try_recv() {
-            Ok(StreamEvent::Item(item)) => Some(item),
-            Ok(StreamEvent::Done(summary)) => {
-                self.done = Some(summary);
-                None
-            }
-            Err(mpsc::TryRecvError::Empty) => None,
-            Err(mpsc::TryRecvError::Disconnected) => {
-                self.done = Some(Err(ServiceError::Shutdown));
-                None
-            }
-        }
-    }
-
-    /// Takes the final summary once every item has been yielded and the
-    /// batch's accounting has resolved; `None` while items are pending or
-    /// still buffered. Never blocks.
-    pub fn try_take_summary(&mut self) -> Option<Result<BatchReleaseResponse>> {
-        if !self.buffered.is_empty() || !self.is_finished() || !self.buffered.is_empty() {
-            return None;
-        }
-        self.done.take()
+        self.inner.next_item()
     }
 
     /// Whether the whole batch (including its final accounting) has
     /// resolved. Never blocks; buffers any items it drains on the way
     /// (later [`BatchStream::next_item`] calls still see them).
     pub fn is_finished(&mut self) -> bool {
-        if self.done.is_some() {
-            return true;
-        }
-        loop {
-            match self.receiver.try_recv() {
-                Ok(StreamEvent::Item(item)) => self.buffered.push_back(item),
-                Ok(StreamEvent::Done(summary)) => {
-                    self.done = Some(summary);
-                    return true;
-                }
-                Err(mpsc::TryRecvError::Empty) => return false,
-                Err(mpsc::TryRecvError::Disconnected) => {
-                    self.done = Some(Err(ServiceError::Shutdown));
-                    return true;
-                }
-            }
-        }
+        self.inner.is_finished()
     }
 
     /// Drains any remaining items and returns the batch summary.
@@ -397,47 +340,16 @@ impl BatchStream {
     /// # Errors
     /// Propagates whole-batch refusals (budget, validation) and
     /// [`ServiceError::Shutdown`] if the server died mid-stream.
-    pub fn wait(mut self) -> Result<BatchReleaseResponse> {
-        while self.next_item().is_some() {}
-        self.done.take().unwrap_or(Err(ServiceError::Shutdown))
+    pub fn wait(self) -> Result<BatchReleaseResponse> {
+        self.inner.wait()?.into_batch().ok_or_else(|| {
+            ServiceError::InvalidRequest("protocol violation: single answer to a batch".into())
+        })
     }
 }
 
-impl std::fmt::Debug for BatchStream {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BatchStream")
-            .field("buffered", &self.buffered.len())
-            .field("done", &self.done.is_some())
-            .finish()
-    }
-}
-
-/// What [`Server::try_submit_envelope_streaming`] admitted: the completion
-/// surface differs by body kind, because a batch over the wire streams
-/// items before its terminal summary while a single has exactly one
-/// answer. Dropping either variant mid-flight cancels the work and
-/// refunds unprocessed ε — the disconnect-safety contract the network
-/// front relies on.
-#[derive(Debug)]
-pub enum EnvelopeSubmission {
-    /// A single release: resolves to one response envelope.
-    Single(PendingResponse),
-    /// A batch: items stream back, then a summary to be wrapped in a
-    /// response envelope echoing `version`.
-    Stream {
-        /// The (validated) protocol version the response must echo.
-        version: u16,
-        /// The incrementally resolving batch.
-        stream: BatchStream,
-    },
-}
-
-/// A concurrent multi-analyst PCOR release server.
-pub struct Server {
-    pool: Arc<ThreadPool>,
-    /// Whether [`Server::shutdown`] also shuts the pool down (false when
-    /// the pool was borrowed via [`Server::start_with_pool`]).
-    owns_pool: bool,
+/// Everything a serving task uses, shared by the server and its tasks
+/// behind one `Arc`.
+struct Ctx {
     registry: Arc<DatasetRegistry>,
     ledger: Arc<BudgetLedger>,
     /// Present on servers started via [`Server::start_durable`]: the WAL
@@ -445,11 +357,294 @@ pub struct Server {
     /// final time at shutdown.
     durable: Option<Arc<DurableLedger>>,
     metrics: Arc<ServerMetrics>,
+    pool: Arc<ThreadPool>,
     telemetry: Telemetry,
+    faults: Faults,
+}
+
+/// One admitted request's serving context.
+struct Job {
+    trace: TraceId,
+    /// The root "server" span every ledger, session and verifier span of
+    /// the request hangs off.
+    parent: SpanId,
+    enqueued: Instant,
+    /// The request's deadline, checked by the verifier before every fresh
+    /// evaluation.
+    cancel: Option<CancelToken>,
+}
+
+impl Ctx {
+    /// Answers one envelope at the request's (validated) protocol
+    /// version, so a client pinned to v1 never receives a response stamped
+    /// v2. A single request is served as a batch of one; its items never
+    /// reach `sink`.
+    fn answer(
+        &self,
+        job: &Job,
+        envelope: RequestEnvelope,
+        sink: impl FnMut(&BatchItemResponse) -> bool,
+    ) -> Result<ResponseEnvelope> {
+        envelope.validate()?;
+        let body = match envelope.body {
+            RequestBody::Batch(batch) => ResponseBody::Batch(self.serve(job, batch, sink)?),
+            RequestBody::Single(request) => {
+                let summary = self.serve(job, request.into_batch(), |_| true)?;
+                ResponseBody::Single(single_response(summary, job.cancel.as_ref())?)
+            }
+        };
+        Ok(ResponseEnvelope { v: envelope.v, body })
+    }
+
+    /// The serving pipeline: one summed-ε reservation, one shared
+    /// (pool-attached) release session, the items in order, then one
+    /// commit of what released. `sink` observes each finished item;
+    /// returning `false` stops the request (a dropped stream consumer) and
+    /// the unprocessed items' slices are refunded.
+    fn serve(
+        &self,
+        job: &Job,
+        batch: BatchReleaseRequest,
+        mut sink: impl FnMut(&BatchItemResponse) -> bool,
+    ) -> Result<BatchReleaseResponse> {
+        let worker = self.pool.current_worker().unwrap_or(0);
+        let entry = self.registry.get(&batch.dataset)?;
+        // Refuse the whole request before any work when an item is
+        // malformed: partial-failure semantics apply to *release*
+        // failures, not to requests the analyst could have validated.
+        for item in &batch.items {
+            if item.record_id >= entry.dataset().len() {
+                return Err(ServiceError::InvalidRequest(format!(
+                    "record {} out of range for dataset `{}` of {} records",
+                    item.record_id,
+                    batch.dataset,
+                    entry.dataset().len()
+                )));
+            }
+        }
+
+        // Phase 1: hold the summed ε before doing any work. Refusals are
+        // the hard guarantee of the service: once an analyst's ε is gone,
+        // the server answers nothing more about that dataset.
+        let total_epsilon = batch.total_epsilon();
+        let mechanism = mechanism_name(batch.mechanism.unwrap_or(MechanismKind::Exponential));
+        let reserve_outcome = {
+            let _reserve_span = self.telemetry.span(job.trace, Some(job.parent), "ledger.reserve");
+            self.ledger.reserve_traced(
+                &batch.analyst,
+                &batch.dataset,
+                total_epsilon,
+                job.trace.0,
+                Some(mechanism.to_string()),
+            )
+        };
+        let reservation = match reserve_outcome {
+            Ok(reservation) => reservation,
+            Err(err) => {
+                if matches!(err, ServiceError::BudgetExhausted { .. }) {
+                    self.metrics.record_refused();
+                }
+                return Err(err);
+            }
+        };
+
+        // One session for the whole request: the detector is built once,
+        // every record's memoized verifier is shared across items, and the
+        // server's resident pool backs the engine's sharded passes.
+        let detector = batch.detector.build();
+        let utility = PopulationSizeUtility;
+        let mut builder = ReleaseSession::builder(entry.dataset(), detector.as_ref(), &utility)
+            .pool(Arc::clone(&self.pool))
+            .trace_context(self.telemetry.clone(), job.trace, Some(job.parent));
+        if let Some(token) = &job.cancel {
+            builder = builder.cancel_token(token.clone());
+        }
+        let mut session = builder.build();
+        let needs_start = batch.algorithm.needs_starting_context();
+
+        let mut items: Vec<BatchItemResponse> = Vec::with_capacity(batch.items.len());
+        let mut committed = 0.0f64;
+        let mut cut = false;
+        for item in &batch.items {
+            if job.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
+                cut = true;
+                break;
+            }
+            // Warm the session from the cross-request registry cache; on a
+            // miss the search runs on the item's verifier and the result is
+            // published back (weighted by its discovery cost).
+            let mut cache_hit = session.starting_context(item.record_id).is_some();
+            if !cache_hit {
+                if let Some(context) = self.registry.cached_starting_context(
+                    &batch.dataset,
+                    item.record_id,
+                    batch.detector,
+                ) {
+                    session.seed_starting_context(item.record_id, context);
+                    cache_hit = true;
+                }
+            }
+            // Resolve the starting context before the release so the
+            // discovery cost (fresh f_M calls) is measurable in isolation;
+            // the release reuses the cached result, so nothing is computed
+            // twice. A resolve failure fails the item with exactly the
+            // error the release itself would have produced.
+            let mut discovery_cost = 0u64;
+            let mut resolve_failure: Option<PcorError> = None;
+            if needs_start && !cache_hit {
+                let calls_before = session.stats().verification_calls;
+                match session.resolve_starting_context(item.record_id) {
+                    Ok(_) => {
+                        discovery_cost = (session.stats().verification_calls - calls_before) as u64;
+                    }
+                    Err(err) => resolve_failure = Some(err),
+                }
+            }
+            let config = batch.item_config(item);
+            let result = match resolve_failure {
+                Some(err) => Err(err),
+                None => session.release_with_seed(item.record_id, &config, item.seed),
+            };
+            // Publish a freshly discovered starting context whether or not
+            // the release itself succeeded: the search result is valid and
+            // expensive, and a retry must not pay for it again.
+            if !cache_hit {
+                if let Some(context) = session.starting_context(item.record_id) {
+                    self.registry.store_starting_context(
+                        &batch.dataset,
+                        item.record_id,
+                        batch.detector,
+                        context.clone(),
+                        discovery_cost,
+                    );
+                }
+            }
+            let outcome = match result {
+                Ok(result) => {
+                    committed += item.epsilon;
+                    self.metrics.record_mechanism(result.mechanism);
+                    ItemOutcome::Released(ItemRelease {
+                        predicate: result.context.to_predicate_string(entry.dataset().schema()),
+                        context: result.context,
+                        utility: result.utility,
+                        samples_collected: result.samples_collected,
+                        // The pre-release starting search is this item's
+                        // work; fold its calls back in so per-item counts
+                        // still sum to the request total.
+                        verification_calls: result.verification_calls + discovery_cost as usize,
+                        guarantee: result.guarantee,
+                        mechanism: result.mechanism,
+                        cache_hit,
+                    })
+                }
+                // The deadline cut the item between verification calls: no
+                // draw was published, so the request stops here and this
+                // item's slice is refunded with the unprocessed ones'.
+                Err(PcorError::Cancelled) => {
+                    cut = true;
+                    break;
+                }
+                // The item failed before its mechanism produced output; its
+                // ε slice stays in the reservation and is refunded below.
+                Err(err) => ItemOutcome::Failed { error: err.to_string() },
+            };
+            let response =
+                BatchItemResponse { record_id: item.record_id, epsilon: item.epsilon, outcome };
+            let more = sink(&response);
+            items.push(response);
+            if !more {
+                break;
+            }
+        }
+        // An explicit cancel (another token owner) stops the request the
+        // same way but is not a deadline.
+        if cut && job.cancel.as_ref().is_some_and(CancelToken::deadline_exceeded) {
+            self.metrics.record_deadline_exceeded();
+        }
+
+        // Phase 2: commit what the released items consumed; every failed,
+        // cut and unprocessed item's slice goes back to the analyst.
+        let remaining = self.ledger.commit_partial(reservation, committed);
+        let latency = job.enqueued.elapsed();
+        let released = items.iter().filter(|item| item.outcome.is_released()).count();
+        self.metrics.record_batch(released as u64, (items.len() - released) as u64, latency);
+        let session_stats = session.stats();
+        self.metrics.record_engine(
+            session_stats.verification_calls as u64,
+            session_stats.cache_lookups as u64,
+            session_stats.cache_hits as u64,
+            session_stats.words_scanned,
+        );
+        Ok(BatchReleaseResponse {
+            analyst: batch.analyst,
+            dataset: batch.dataset,
+            verification_calls: session_stats.verification_calls,
+            items,
+            epsilon_committed: committed,
+            epsilon_refunded: total_epsilon - committed,
+            remaining_budget: remaining,
+            latency,
+            worker,
+        })
+    }
+}
+
+/// Rebuilds a single request's response from its batch of one.
+fn single_response(
+    summary: BatchReleaseResponse,
+    cancel: Option<&CancelToken>,
+) -> Result<ReleaseResponse> {
+    let Some(item) = summary.items.into_iter().next() else {
+        // The item was cut and its ε refunded. A tripped deadline reports
+        // as such; an explicit cancel (other token owners) as Cancelled.
+        return Err(if cancel.is_some_and(CancelToken::deadline_exceeded) {
+            ServiceError::DeadlineExceeded
+        } else {
+            ServiceError::Cancelled
+        });
+    };
+    let release = match item.outcome {
+        ItemOutcome::Released(release) => release,
+        ItemOutcome::Failed { error } => return Err(ServiceError::Release(error)),
+    };
+    Ok(ReleaseResponse {
+        analyst: summary.analyst,
+        dataset: summary.dataset,
+        record_id: item.record_id,
+        context: release.context,
+        predicate: release.predicate,
+        utility: release.utility,
+        samples_collected: release.samples_collected,
+        verification_calls: release.verification_calls,
+        guarantee: release.guarantee,
+        mechanism: release.mechanism,
+        epsilon_spent: item.epsilon,
+        remaining_budget: summary.remaining_budget,
+        cache_hit: release.cache_hit,
+        latency: summary.latency,
+        worker: summary.worker,
+    })
+}
+
+/// The stable Prometheus name of each mechanism, used as the `mechanism`
+/// label value and in the budget audit log.
+fn mechanism_name(mechanism: MechanismKind) -> &'static str {
+    match mechanism {
+        MechanismKind::Exponential => "exponential",
+        MechanismKind::PermuteAndFlip => "permute_and_flip",
+        MechanismKind::ReportNoisyMax => "report_noisy_max",
+    }
+}
+
+/// A concurrent multi-analyst PCOR release server.
+pub struct Server {
+    ctx: Arc<Ctx>,
+    /// Whether [`Server::shutdown`] also shuts the pool down (false when
+    /// the pool was borrowed via [`Server::start_with_pool`]).
+    owns_pool: bool,
     inflight: Arc<Inflight>,
     accepting: Arc<AtomicBool>,
     queue_capacity: usize,
-    faults: Faults,
 }
 
 /// A point-in-time readiness report — what a load balancer's health
@@ -487,9 +682,7 @@ impl Server {
         ledger: Arc<BudgetLedger>,
     ) -> Self {
         let pool = Arc::new(ThreadPool::new(config.workers));
-        let mut server = Self::start_with_pool(config, pool, registry, ledger);
-        server.owns_pool = true;
-        server
+        Self::assemble(config, pool, true, registry, ledger, None)
     }
 
     /// Starts a server whose budget ledger is the given crash-safe
@@ -513,16 +706,8 @@ impl Server {
         // caches before the first request can miss on them.
         durable.seed_registry(&registry);
         let ledger = Arc::new(durable.ledger().clone());
-        let mut server = Self::start(config, registry, ledger);
-        {
-            let durable = Arc::clone(&durable);
-            let accepting = Arc::clone(&server.accepting);
-            server.telemetry.register_collector(move |exporter| {
-                Self::publish_wal_stats(exporter, &durable, &accepting);
-            });
-        }
-        server.durable = Some(durable);
-        server
+        let pool = Arc::new(ThreadPool::new(config.workers));
+        Self::assemble(config, pool, true, registry, ledger, Some(durable))
     }
 
     /// Starts a server on a borrowed pool — the seam for sharing one
@@ -534,11 +719,22 @@ impl Server {
         registry: Arc<DatasetRegistry>,
         ledger: Arc<BudgetLedger>,
     ) -> Self {
+        Self::assemble(config, pool, false, registry, ledger, None)
+    }
+
+    fn assemble(
+        config: ServerConfig,
+        pool: Arc<ThreadPool>,
+        owns_pool: bool,
+        registry: Arc<DatasetRegistry>,
+        ledger: Arc<BudgetLedger>,
+        durable: Option<Arc<DurableLedger>>,
+    ) -> Self {
         let metrics = Arc::new(ServerMetrics::default());
         // Reuse a telemetry bundle the ledger already carries — the durable
         // startup path builds one around the *replayed* audit log, and a
         // fresh bundle here would silently discard that history and its
-        // clock. A plain ledger gets a fresh bundle as before.
+        // clock. A plain ledger gets a fresh bundle.
         let telemetry = ledger.telemetry().unwrap_or_default();
         // From here on, every ε movement through the ledger lands in the
         // bundle's audit log and refreshes the per-account gauges.
@@ -562,9 +758,9 @@ impl Server {
         }
         let inflight = Inflight::new();
         let accepting = Arc::new(AtomicBool::new(true));
-        // The readiness slice of the scrape. On a durable server the
-        // collector registered by `start_durable` runs later and overrides
-        // `pcor_ready` with the breaker folded in.
+        // The readiness slice of the scrape. On a durable server the WAL
+        // collector below runs later and overrides `pcor_ready` with the
+        // breaker folded in.
         {
             let inflight = Arc::clone(&inflight);
             let accepting = Arc::clone(&accepting);
@@ -576,28 +772,21 @@ impl Server {
                 exporter.gauge("pcor_ready", &[]).set(if up { 1.0 } else { 0.0 });
             });
         }
+        if let Some(durable) = &durable {
+            let durable = Arc::clone(durable);
+            let accepting = Arc::clone(&accepting);
+            telemetry.register_collector(move |exporter| {
+                Self::publish_wal_stats(exporter, &durable, &accepting);
+            });
+        }
+        let ctx =
+            Ctx { registry, ledger, durable, metrics, pool, telemetry, faults: config.faults };
         Server {
-            pool,
-            owns_pool: false,
-            registry,
-            ledger,
-            durable: None,
-            metrics,
-            telemetry,
+            ctx: Arc::new(ctx),
+            owns_pool,
             inflight,
             accepting,
             queue_capacity: config.queue_capacity,
-            faults: config.faults,
-        }
-    }
-
-    /// The stable Prometheus name of each mechanism, used as the
-    /// `mechanism` label value and in the budget audit log.
-    fn mechanism_name(mechanism: MechanismKind) -> &'static str {
-        match mechanism {
-            MechanismKind::Exponential => "exponential",
-            MechanismKind::PermuteAndFlip => "permute_and_flip",
-            MechanismKind::ReportNoisyMax => "report_noisy_max",
         }
     }
 
@@ -745,441 +934,26 @@ impl Server {
             .set(references as f64);
     }
 
-    /// Serves one envelope end to end on the calling pool worker. `trace`
-    /// and `parent` (the root "server" span) thread causality down into the
-    /// ledger, session and verifier spans. `cancel` (present when the
-    /// envelope carried a deadline) is checked by the verifier before
-    /// every fresh evaluation, so a tripped deadline stops the release
-    /// within one verification call and refunds its reservation.
-    #[allow(clippy::too_many_arguments)]
-    fn handle_envelope(
-        registry: &DatasetRegistry,
-        ledger: &BudgetLedger,
-        metrics: &ServerMetrics,
-        pool: &Arc<ThreadPool>,
-        telemetry: &Telemetry,
-        trace: TraceId,
-        parent: SpanId,
+    /// The dispatcher: spawns the serving task for one admitted envelope.
+    /// With `stream`, a batch's items are sent to the handle as they
+    /// finish, and a dropped handle stops the batch at the next item.
+    fn dispatch(
+        &self,
         envelope: RequestEnvelope,
-        enqueued: Instant,
-        cancel: Option<&CancelToken>,
-    ) -> Result<ResponseEnvelope> {
-        envelope.validate()?;
-        let worker_index = pool.current_worker().unwrap_or(0);
-        // Echo the request's (validated) protocol version so a client
-        // pinned to v1 never receives a response stamped v2.
-        let v = envelope.v;
-        match envelope.body {
-            RequestBody::Single(request) => Self::handle(
-                worker_index,
-                registry,
-                ledger,
-                metrics,
-                pool,
-                telemetry,
-                trace,
-                parent,
-                request,
-                enqueued,
-                cancel,
-            )
-            .map(|response| ResponseEnvelope::single(response).at_version(v)),
-            RequestBody::Batch(batch) => Self::handle_batch(
-                worker_index,
-                registry,
-                ledger,
-                metrics,
-                pool,
-                telemetry,
-                trace,
-                parent,
-                batch,
-                enqueued,
-                cancel,
-                |_| true,
-            )
-            .map(|response| ResponseEnvelope::batch(response).at_version(v)),
-        }
-    }
-
-    /// Serves one batch on the calling pool worker: one summed-ε
-    /// reservation, one shared (pool-attached) release session, per-item
-    /// partial-failure resolution. `sink` observes each finished item in
-    /// order; returning `false` cancels the remaining items (their ε
-    /// slices are refunded with the failed items') — the streaming path's
-    /// dropped-consumer semantics.
-    #[allow(clippy::too_many_arguments)]
-    fn handle_batch(
-        worker_index: usize,
-        registry: &DatasetRegistry,
-        ledger: &BudgetLedger,
-        metrics: &ServerMetrics,
-        pool: &Arc<ThreadPool>,
-        telemetry: &Telemetry,
-        trace: TraceId,
-        parent: SpanId,
-        batch: BatchReleaseRequest,
-        enqueued: Instant,
-        cancel: Option<&CancelToken>,
-        mut sink: impl FnMut(&BatchItemResponse) -> bool,
-    ) -> Result<BatchReleaseResponse> {
-        let entry = registry.get(&batch.dataset)?;
-        // Refuse the whole batch before any work when an item is malformed:
-        // partial-failure semantics apply to *release* failures, not to
-        // requests the analyst could have validated locally.
-        for item in &batch.items {
-            if item.record_id >= entry.dataset().len() {
-                return Err(ServiceError::InvalidRequest(format!(
-                    "record {} out of range for dataset `{}` of {} records",
-                    item.record_id,
-                    batch.dataset,
-                    entry.dataset().len()
-                )));
-            }
-        }
-
-        // Phase 1: one reservation for the summed ε. A batch the analyst's
-        // remaining budget cannot cover is refused whole, before any work.
-        let total_epsilon = batch.total_epsilon();
-        let mechanism = Self::mechanism_name(batch.mechanism.unwrap_or(MechanismKind::Exponential));
-        let reserve_outcome = {
-            let _reserve_span = telemetry.span(trace, Some(parent), "ledger.reserve");
-            ledger.reserve_traced(
-                &batch.analyst,
-                &batch.dataset,
-                total_epsilon,
-                trace.0,
-                Some(mechanism.to_string()),
-            )
-        };
-        let reservation = match reserve_outcome {
-            Ok(reservation) => reservation,
-            Err(err) => {
-                if matches!(err, ServiceError::BudgetExhausted { .. }) {
-                    metrics.record_refused();
-                }
-                return Err(err);
-            }
-        };
-
-        // One session for the whole batch: the detector is built once,
-        // every record's memoized verifier is shared across items, and the
-        // server's resident pool backs the engine's sharded passes.
-        let detector = batch.detector.build();
-        let utility = PopulationSizeUtility;
-        let mut builder = ReleaseSession::builder(entry.dataset(), detector.as_ref(), &utility)
-            .pool(Arc::clone(pool))
-            .trace_context(telemetry.clone(), trace, Some(parent));
-        if let Some(token) = cancel {
-            builder = builder.cancel_token(token.clone());
-        }
-        let mut session = builder.build();
-        let needs_start = batch.algorithm.needs_starting_context();
-
-        let mut items: Vec<BatchItemResponse> = Vec::with_capacity(batch.items.len());
-        let mut committed = 0.0f64;
-        let mut cancelled = false;
-        for item in &batch.items {
-            // A tripped deadline cancels the batch's tail exactly like a
-            // dropped stream consumer: items already released stay
-            // committed, the unprocessed items' ε slices stay in the
-            // reservation for the refund below.
-            if !cancelled && cancel.is_some_and(|token| token.is_cancelled()) {
-                metrics.record_deadline_exceeded();
-                cancelled = true;
-            }
-            if cancelled {
-                // The consumer is gone (or the deadline passed):
-                // unprocessed items are skipped and their ε slices stay in
-                // the reservation for the refund.
-                break;
-            }
-            // Warm the session from the cross-batch registry cache; on a
-            // session-side miss the search runs on the item's verifier and
-            // the result is published back (weighted by its discovery
-            // cost) for future requests.
-            let mut cache_hit = session.starting_context(item.record_id).is_some();
-            if !cache_hit {
-                if let Some(context) =
-                    registry.cached_starting_context(&batch.dataset, item.record_id, batch.detector)
-                {
-                    session.seed_starting_context(item.record_id, context);
-                    cache_hit = true;
-                }
-            }
-            // Resolve the starting context before the release so the
-            // discovery cost (fresh f_M calls) is measurable in isolation;
-            // the release reuses the cached result, so nothing is computed
-            // twice. A resolve failure fails the item with exactly the
-            // error the release itself would have produced.
-            let mut discovery_cost = 0u64;
-            let mut resolve_failure: Option<pcor_core::PcorError> = None;
-            if needs_start && !cache_hit {
-                let calls_before = session.stats().verification_calls;
-                match session.resolve_starting_context(item.record_id) {
-                    Ok(_) => {
-                        discovery_cost = (session.stats().verification_calls - calls_before) as u64;
-                    }
-                    Err(err) => resolve_failure = Some(err),
-                }
-            }
-            let config = batch.item_config(item);
-            let result = match resolve_failure {
-                Some(err) => Err(err),
-                None => session.release_with_seed(item.record_id, &config, item.seed),
-            };
-            // Publish a freshly discovered starting context whether or not
-            // the release itself succeeded: the search result is valid and
-            // expensive, and a retry must not pay for it again.
-            if !cache_hit {
-                if let Some(context) = session.starting_context(item.record_id) {
-                    registry.store_starting_context(
-                        &batch.dataset,
-                        item.record_id,
-                        batch.detector,
-                        context.clone(),
-                        discovery_cost,
-                    );
-                }
-            }
-            let outcome = match result {
-                Ok(result) => {
-                    committed += item.epsilon;
-                    metrics.record_mechanism(result.mechanism);
-                    ItemOutcome::Released(ItemRelease {
-                        predicate: result.context.to_predicate_string(entry.dataset().schema()),
-                        context: result.context,
-                        utility: result.utility,
-                        samples_collected: result.samples_collected,
-                        // The pre-release starting search is this item's
-                        // work; fold its calls back in so per-item counts
-                        // still sum to the batch total.
-                        verification_calls: result.verification_calls + discovery_cost as usize,
-                        guarantee: result.guarantee,
-                        mechanism: result.mechanism,
-                        cache_hit,
-                    })
-                }
-                // The item failed before its mechanism produced output; its
-                // ε slice stays in the reservation and is refunded below.
-                Err(err) => ItemOutcome::Failed { error: err.to_string() },
-            };
-            let response =
-                BatchItemResponse { record_id: item.record_id, epsilon: item.epsilon, outcome };
-            cancelled = !sink(&response);
-            items.push(response);
-        }
-
-        // Phase 2: commit what the successful items consumed; every failed
-        // (and cancelled) item's slice goes back to the analyst.
-        let remaining = ledger.commit_partial(reservation, committed);
-        let latency = enqueued.elapsed();
-        let released = items.iter().filter(|item| item.outcome.is_released()).count();
-        metrics.record_batch(released as u64, (items.len() - released) as u64, latency);
-        let session_stats = session.stats();
-        metrics.record_engine(
-            session_stats.verification_calls as u64,
-            session_stats.cache_lookups as u64,
-            session_stats.cache_hits as u64,
-            session_stats.words_scanned,
-        );
-        Ok(BatchReleaseResponse {
-            analyst: batch.analyst,
-            dataset: batch.dataset,
-            verification_calls: session_stats.verification_calls,
-            items,
-            epsilon_committed: committed,
-            epsilon_refunded: total_epsilon - committed,
-            remaining_budget: remaining,
-            latency,
-            worker: worker_index,
-        })
-    }
-
-    /// Serves one single-record request end to end on the calling pool
-    /// worker.
-    #[allow(clippy::too_many_arguments)]
-    fn handle(
-        worker_index: usize,
-        registry: &DatasetRegistry,
-        ledger: &BudgetLedger,
-        metrics: &ServerMetrics,
-        pool: &Arc<ThreadPool>,
-        telemetry: &Telemetry,
-        trace: TraceId,
-        parent: SpanId,
-        request: ReleaseRequest,
-        enqueued: Instant,
-        cancel: Option<&CancelToken>,
-    ) -> Result<ReleaseResponse> {
-        let entry = registry.get(&request.dataset)?;
-        if request.record_id >= entry.dataset().len() {
-            return Err(ServiceError::InvalidRequest(format!(
-                "record {} out of range for dataset `{}` of {} records",
-                request.record_id,
-                request.dataset,
-                entry.dataset().len()
-            )));
-        }
-
-        // Phase 1: hold the budget before doing any work. Refusals are the
-        // hard guarantee of the service: once an analyst's ε is gone, the
-        // server answers nothing more about that dataset.
-        let mechanism =
-            Self::mechanism_name(request.mechanism.unwrap_or(MechanismKind::Exponential));
-        let reserve_outcome = {
-            let _reserve_span = telemetry.span(trace, Some(parent), "ledger.reserve");
-            ledger.reserve_traced(
-                &request.analyst,
-                &request.dataset,
-                request.epsilon,
-                trace.0,
-                Some(mechanism.to_string()),
-            )
-        };
-        let reservation = match reserve_outcome {
-            Ok(reservation) => reservation,
-            Err(err) => {
-                if matches!(err, ServiceError::BudgetExhausted { .. }) {
-                    metrics.record_refused();
-                }
-                return Err(err);
-            }
-        };
-
-        // One single-release session (pool-attached, warmed from the
-        // registry's shared starting-context cache). On a miss the session
-        // resolves the context on the same verifier the release then runs
-        // on; on failure the reservation drops below and refunds: a record
-        // that is not a contextual outlier consumed no privacy budget.
-        let detector = request.detector.build();
-        let utility = PopulationSizeUtility;
-        let mut builder = ReleaseSession::builder(entry.dataset(), detector.as_ref(), &utility)
-            .pool(Arc::clone(pool))
-            .trace_context(telemetry.clone(), trace, Some(parent));
-        if let Some(token) = cancel {
-            builder = builder.cancel_token(token.clone());
-        }
-        let mut session = builder.build();
-        let cache_hit = match registry.cached_starting_context(
-            &request.dataset,
-            request.record_id,
-            request.detector,
-        ) {
-            Some(context) => {
-                session.seed_starting_context(request.record_id, context);
-                true
-            }
-            None => false,
-        };
-        // Resolve before releasing so the discovery cost is measurable (see
-        // the batch path); the release reuses the cached resolution.
-        let mut discovery_cost = 0u64;
-        let mut resolve_failure: Option<pcor_core::PcorError> = None;
-        if request.algorithm.needs_starting_context() && !cache_hit {
-            let calls_before = session.stats().verification_calls;
-            match session.resolve_starting_context(request.record_id) {
-                Ok(_) => {
-                    discovery_cost = (session.stats().verification_calls - calls_before) as u64;
-                }
-                Err(err) => resolve_failure = Some(err),
-            }
-        }
-        let config = request.to_config();
-        let outcome = match resolve_failure {
-            Some(err) => Err(err),
-            None => session.release_with_seed(request.record_id, &config, request.seed),
-        };
-        // The engine worked whether or not the release succeeded; record its
-        // verification cost and cache efficiency either way.
-        let session_stats = session.stats();
-        metrics.record_engine(
-            session_stats.verification_calls as u64,
-            session_stats.cache_lookups as u64,
-            session_stats.cache_hits as u64,
-            session_stats.words_scanned,
-        );
-        // Publish a freshly discovered starting context whether or not the
-        // release itself succeeded: the search result is valid and
-        // expensive, and a retry must not pay for it again.
-        if !cache_hit {
-            if let Some(context) = session.starting_context(request.record_id) {
-                registry.store_starting_context(
-                    &request.dataset,
-                    request.record_id,
-                    request.detector,
-                    context.clone(),
-                    discovery_cost,
-                );
-            }
-        }
-        match outcome {
-            Ok(result) => {
-                // Phase 2: the mechanism ran; the spend is now permanent.
-                let remaining = ledger.commit(reservation);
-                let latency = enqueued.elapsed();
-                metrics.record_served(latency);
-                metrics.record_mechanism(result.mechanism);
-                Ok(ReleaseResponse {
-                    analyst: request.analyst,
-                    dataset: request.dataset,
-                    record_id: request.record_id,
-                    predicate: result.context.to_predicate_string(entry.dataset().schema()),
-                    context: result.context,
-                    utility: result.utility,
-                    samples_collected: result.samples_collected,
-                    // The pre-release starting search is this query's work;
-                    // report it with the release's own calls as before.
-                    verification_calls: result.verification_calls + discovery_cost as usize,
-                    guarantee: result.guarantee,
-                    mechanism: result.mechanism,
-                    epsilon_spent: request.epsilon,
-                    remaining_budget: remaining,
-                    cache_hit,
-                    latency,
-                    worker: worker_index,
-                })
-            }
-            Err(pcor_core::PcorError::Cancelled) => {
-                // The verifier stopped between fresh evaluations; no
-                // private draw was published, so the drop of `reservation`
-                // refunds exactly the reserved slice. A tripped deadline
-                // reports as such; an explicit cancel (other token owners)
-                // as Cancelled.
-                drop(reservation);
-                if cancel.is_some_and(|token| token.deadline_exceeded()) {
-                    metrics.record_deadline_exceeded();
-                    Err(ServiceError::DeadlineExceeded)
-                } else {
-                    Err(ServiceError::Cancelled)
-                }
-            }
-            Err(err) => {
-                // The release failed before producing output; the drop of
-                // `reservation` refunds the held ε.
-                drop(reservation);
-                metrics.record_failed();
-                Err(ServiceError::Release(err.to_string()))
-            }
-        }
-    }
-
-    /// Spawns the serving task for one admitted envelope.
-    fn dispatch(&self, envelope: RequestEnvelope, slot: InflightSlot) -> PendingResponse {
-        let (reply, receiver) = mpsc::channel();
-        let registry = Arc::clone(&self.registry);
-        let ledger = Arc::clone(&self.ledger);
-        let durable = self.durable.clone();
-        let metrics = Arc::clone(&self.metrics);
-        let pool = Arc::clone(&self.pool);
-        let telemetry = self.telemetry.clone();
-        let faults = self.faults.clone();
+        slot: InflightSlot,
+        stream: bool,
+    ) -> PendingResponse {
+        // Capacity 1: a streaming task stays at most one finished item
+        // ahead of its consumer; any other task sends a single event and
+        // never blocks on it.
+        let (events, receiver) = mpsc::sync_channel(1);
+        let ctx = Arc::clone(&self.ctx);
         // An envelope deadline becomes a cancel token the whole serving
         // path shares; accumulated injected clock skew shortens it, so
         // chaos runs can force expiry deterministically.
         let cancel = envelope
             .deadline()
-            .map(|timeout| CancelToken::deadline_after(timeout.saturating_sub(faults.skew())));
+            .map(|timeout| CancelToken::deadline_after(timeout.saturating_sub(ctx.faults.skew())));
         // Adopt the client's trace id when the envelope carries one (0 is
         // reserved for "absent"); mint a fresh one otherwise.
         let trace = match envelope.trace {
@@ -1187,51 +961,42 @@ impl Server {
             _ => TraceId::next(),
         };
         let enqueued = Instant::now();
-        self.pool.spawn(move || {
+        self.ctx.pool.spawn(move || {
             // The slot lives for the task's duration; its drop (panic
             // included) releases capacity and wakes blocked submitters.
             let _slot = slot;
             // The service seam: injected latency simulates a slow serving
             // task (deadline pressure), an injected panic exercises the
             // refund-on-unwind guarantees.
-            faults.hit(site::SERVICE_RELEASE);
+            ctx.faults.hit(site::SERVICE_RELEASE);
             // The root span covers the whole serving task; queue wait is
             // visible as the gap between `enqueued` and the span start.
-            let server_span = telemetry.span(trace, None, "server");
-            let parent = server_span.id();
-            let outcome = if cancel.as_ref().is_some_and(|token| token.is_cancelled()) {
+            let server_span = ctx.telemetry.span(trace, None, "server");
+            let job = Job { trace, parent: server_span.id(), enqueued, cancel };
+            let outcome = if job.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
                 // The request sat in the queue past its own deadline:
                 // answer without reserving or touching the dataset.
-                metrics.record_deadline_exceeded();
+                ctx.metrics.record_deadline_exceeded();
                 Err(ServiceError::DeadlineExceeded)
             } else {
-                Self::handle_envelope(
-                    &registry,
-                    &ledger,
-                    &metrics,
-                    &pool,
-                    &telemetry,
-                    trace,
-                    parent,
-                    envelope,
-                    enqueued,
-                    cancel.as_ref(),
-                )
+                ctx.answer(&job, envelope, |item| {
+                    !stream || events.send(Event::Item(item.clone())).is_ok()
+                })
             };
             server_span.finish();
             // A dropped handle is fine; ignore send errors.
-            let _ = reply.send(outcome);
+            let _ = events.send(Event::Done(outcome));
             // Auto-compaction rides the serving task, after the reply is
             // already on its way: the analyst never waits on a checkpoint.
             // A failed checkpoint leaves the existing log intact (replay
             // just stays long); the next eligible request retries.
-            if let Some(durable) = &durable {
-                let _ = durable.maybe_checkpoint(Some(&registry));
+            if let Some(durable) = &ctx.durable {
+                let _ = durable.maybe_checkpoint(Some(&ctx.registry));
             }
             // Cache-capacity autotuning rides here too: every
             // AUTOTUNE_INTERVAL-th request re-sizes the derived-state
             // caches from their own hit/eviction counters.
-            let _ = registry.maybe_autotune();
+            let _ = ctx.registry.maybe_autotune();
         });
         PendingResponse::new(receiver)
     }
@@ -1252,50 +1017,74 @@ impl Server {
         let Some(deadline) = envelope.deadline() else { return Ok(()) };
         // Injected clock skew makes deadlines effectively earlier, exactly
         // as it does for the serving-side cancel token.
-        let deadline = deadline.saturating_sub(self.faults.skew());
-        let mean = self.metrics.snapshot().mean_latency;
+        let deadline = deadline.saturating_sub(self.ctx.faults.skew());
+        let mean = self.ctx.metrics.snapshot().mean_latency;
         if mean.is_zero() {
             return Ok(());
         }
         let queued = self.inflight.current().min(u32::MAX as usize) as u32;
         let estimated_wait = mean.saturating_mul(queued);
         if estimated_wait > deadline {
-            self.metrics.record_shed();
+            self.ctx.metrics.record_shed();
             return Err(ServiceError::Overloaded { retry_after: estimated_wait - deadline });
         }
         Ok(())
     }
 
+    /// Admits one envelope: refuses after shutdown, sheds a doomed
+    /// deadline, takes an in-flight slot (waiting for one when `block`,
+    /// refusing with [`ServiceError::QueueFull`] otherwise) and dispatches.
+    /// A streamed envelope is validated here, so its refusal arrives
+    /// before any item could.
+    fn admit(
+        &self,
+        envelope: RequestEnvelope,
+        block: bool,
+        stream: bool,
+    ) -> Result<PendingResponse> {
+        if !self.accepting.load(Ordering::Acquire) {
+            return Err(ServiceError::Shutdown);
+        }
+        if stream {
+            envelope.validate()?;
+        }
+        self.shed_if_doomed(&envelope)?;
+        let slot = if block {
+            self.inflight.acquire(self.queue_capacity)
+        } else {
+            self.inflight.try_acquire(self.queue_capacity).ok_or(ServiceError::QueueFull)?
+        };
+        Ok(self.dispatch(envelope, slot, stream))
+    }
+
     /// Enqueues a raw envelope, blocking while `queue_capacity` requests
-    /// are in flight.
+    /// are in flight. The envelope is validated by the serving task: a
+    /// malformed one is admitted and its error comes from
+    /// [`PendingResponse::wait`]. Batch items are not streamed.
     ///
     /// # Errors
     /// Returns [`ServiceError::Overloaded`] when the envelope carries a
     /// deadline the estimated queue wait already exceeds, and
     /// [`ServiceError::Shutdown`] after [`shutdown`](Server::shutdown).
     pub fn submit_envelope(&self, envelope: RequestEnvelope) -> Result<PendingResponse> {
-        if !self.accepting.load(Ordering::Acquire) {
-            return Err(ServiceError::Shutdown);
-        }
-        self.shed_if_doomed(&envelope)?;
-        let slot = self.inflight.acquire(self.queue_capacity);
-        Ok(self.dispatch(envelope, slot))
+        self.admit(envelope, true, false)
     }
 
-    /// Enqueues a raw envelope without blocking.
+    /// Enqueues a raw envelope without blocking — the network front's
+    /// admission, which must refuse rather than park. A batch envelope's
+    /// items stream on the returned handle as they finish
+    /// ([`PendingResponse::try_next_item`]), then the summary; a single
+    /// envelope resolves to its one response.
     ///
     /// # Errors
     /// Returns [`ServiceError::QueueFull`] when `queue_capacity` requests
     /// are in flight, [`ServiceError::Overloaded`] when the envelope
-    /// carries a deadline the estimated queue wait already exceeds, and
+    /// carries a deadline the estimated queue wait already exceeds,
+    /// [`ServiceError::UnsupportedProtocol`] /
+    /// [`ServiceError::InvalidRequest`] for malformed envelopes, and
     /// [`ServiceError::Shutdown`] after [`shutdown`](Server::shutdown).
     pub fn try_submit_envelope(&self, envelope: RequestEnvelope) -> Result<PendingResponse> {
-        if !self.accepting.load(Ordering::Acquire) {
-            return Err(ServiceError::Shutdown);
-        }
-        self.shed_if_doomed(&envelope)?;
-        let slot = self.inflight.try_acquire(self.queue_capacity).ok_or(ServiceError::QueueFull)?;
-        Ok(self.dispatch(envelope, slot))
+        self.admit(envelope, false, true)
     }
 
     /// Enqueues a single-record request, blocking while the server is at
@@ -1308,39 +1097,10 @@ impl Server {
         Ok(PendingRelease { inner: self.submit_envelope(RequestEnvelope::single(request))? })
     }
 
-    /// Enqueues a single-record request without blocking.
-    ///
-    /// # Errors
-    /// Returns [`ServiceError::QueueFull`] when the server is at capacity
-    /// and [`ServiceError::Shutdown`] after [`shutdown`](Server::shutdown).
-    pub fn try_submit(&self, request: ReleaseRequest) -> Result<PendingRelease> {
-        Ok(PendingRelease { inner: self.try_submit_envelope(RequestEnvelope::single(request))? })
-    }
-
-    /// Enqueues a batch, blocking while the server is at capacity. The
-    /// whole batch occupies one in-flight slot and is served by one task on
-    /// one shared session.
-    ///
-    /// # Errors
-    /// Returns [`ServiceError::Shutdown`] after
-    /// [`shutdown`](Server::shutdown).
-    pub fn submit_batch(&self, batch: BatchReleaseRequest) -> Result<PendingBatch> {
-        Ok(PendingBatch { inner: self.submit_envelope(RequestEnvelope::batch(batch))? })
-    }
-
-    /// Enqueues a batch without blocking.
-    ///
-    /// # Errors
-    /// Returns [`ServiceError::QueueFull`] when the server is at capacity
-    /// and [`ServiceError::Shutdown`] after [`shutdown`](Server::shutdown).
-    pub fn try_submit_batch(&self, batch: BatchReleaseRequest) -> Result<PendingBatch> {
-        Ok(PendingBatch { inner: self.try_submit_envelope(RequestEnvelope::batch(batch))? })
-    }
-
     /// Enqueues a batch whose item results stream back incrementally —
     /// each item surfaces on the returned [`BatchStream`] as soon as it
     /// finishes, instead of after the whole batch. ε accounting is
-    /// identical to [`Server::submit_batch`]: one summed-ε reservation up
+    /// identical to [`Server::execute_batch`]: one summed-ε reservation up
     /// front (refused whole if over budget), per-item refunds resolved in
     /// the final summary.
     ///
@@ -1352,132 +1112,7 @@ impl Server {
     /// (validated before admission) and [`ServiceError::Shutdown`] after
     /// [`shutdown`](Server::shutdown).
     pub fn submit_batch_streaming(&self, batch: BatchReleaseRequest) -> Result<BatchStream> {
-        if !self.accepting.load(Ordering::Acquire) {
-            return Err(ServiceError::Shutdown);
-        }
-        batch.validate()?;
-        let slot = self.inflight.acquire(self.queue_capacity);
-        Ok(self.dispatch_batch_streaming(batch, slot, None, None))
-    }
-
-    /// [`Server::submit_batch_streaming`] without blocking — the network
-    /// reactor's admission path, which must refuse rather than park.
-    ///
-    /// # Errors
-    /// Returns [`ServiceError::QueueFull`] when `queue_capacity` requests
-    /// are in flight, plus everything
-    /// [`Server::submit_batch_streaming`] returns.
-    pub fn try_submit_batch_streaming(&self, batch: BatchReleaseRequest) -> Result<BatchStream> {
-        if !self.accepting.load(Ordering::Acquire) {
-            return Err(ServiceError::Shutdown);
-        }
-        batch.validate()?;
-        let slot = self.inflight.try_acquire(self.queue_capacity).ok_or(ServiceError::QueueFull)?;
-        Ok(self.dispatch_batch_streaming(batch, slot, None, None))
-    }
-
-    /// Non-blocking envelope admission for the network front: single
-    /// requests resolve like [`Server::try_submit_envelope`], batches get
-    /// the streaming treatment so items can be written to the wire as they
-    /// finish. The envelope is validated (version range included) and
-    /// shed-checked up front; a batch envelope's `deadline_ms` becomes the
-    /// serving task's cancel token exactly as on the single path.
-    ///
-    /// # Errors
-    /// Returns [`ServiceError::QueueFull`] at capacity,
-    /// [`ServiceError::Overloaded`] when the backlog already dooms the
-    /// deadline, [`ServiceError::UnsupportedProtocol`] /
-    /// [`ServiceError::InvalidRequest`] for malformed envelopes, and
-    /// [`ServiceError::Shutdown`] after [`shutdown`](Server::shutdown).
-    pub fn try_submit_envelope_streaming(
-        &self,
-        envelope: RequestEnvelope,
-    ) -> Result<EnvelopeSubmission> {
-        if !self.accepting.load(Ordering::Acquire) {
-            return Err(ServiceError::Shutdown);
-        }
-        envelope.validate()?;
-        self.shed_if_doomed(&envelope)?;
-        let version = envelope.v;
-        match envelope.body {
-            RequestBody::Single(_) => {
-                let slot = self
-                    .inflight
-                    .try_acquire(self.queue_capacity)
-                    .ok_or(ServiceError::QueueFull)?;
-                Ok(EnvelopeSubmission::Single(self.dispatch(envelope, slot)))
-            }
-            RequestBody::Batch(batch) => {
-                let cancel = envelope.deadline_ms.map(Duration::from_millis).map(|timeout| {
-                    CancelToken::deadline_after(timeout.saturating_sub(self.faults.skew()))
-                });
-                let trace = envelope.trace.filter(|&id| id != 0).map(TraceId);
-                let slot = self
-                    .inflight
-                    .try_acquire(self.queue_capacity)
-                    .ok_or(ServiceError::QueueFull)?;
-                let stream = self.dispatch_batch_streaming(batch, slot, cancel, trace);
-                Ok(EnvelopeSubmission::Stream { version, stream })
-            }
-        }
-    }
-
-    /// Spawns the serving task for one admitted streaming batch.
-    fn dispatch_batch_streaming(
-        &self,
-        batch: BatchReleaseRequest,
-        slot: InflightSlot,
-        cancel: Option<CancelToken>,
-        trace: Option<TraceId>,
-    ) -> BatchStream {
-        // Capacity 1: the serving task stays at most one finished item
-        // ahead of the consumer, and a consumer that drops the stream makes
-        // the next send fail, which cancels the remaining items.
-        let (events, receiver) = mpsc::sync_channel::<StreamEvent>(1);
-        let registry = Arc::clone(&self.registry);
-        let ledger = Arc::clone(&self.ledger);
-        let durable = self.durable.clone();
-        let metrics = Arc::clone(&self.metrics);
-        let pool = Arc::clone(&self.pool);
-        let telemetry = self.telemetry.clone();
-        let trace = trace.unwrap_or_else(TraceId::next);
-        let enqueued = Instant::now();
-        self.pool.spawn(move || {
-            let _slot = slot;
-            let worker_index = pool.current_worker().unwrap_or(0);
-            let item_events = events.clone();
-            let server_span = telemetry.span(trace, None, "server");
-            let parent = server_span.id();
-            let summary = if cancel.as_ref().is_some_and(|token| token.is_cancelled()) {
-                // Queued past its own deadline: answer without reserving.
-                metrics.record_deadline_exceeded();
-                Err(ServiceError::DeadlineExceeded)
-            } else {
-                Self::handle_batch(
-                    worker_index,
-                    &registry,
-                    &ledger,
-                    &metrics,
-                    &pool,
-                    &telemetry,
-                    trace,
-                    parent,
-                    batch,
-                    enqueued,
-                    cancel.as_ref(),
-                    move |item| item_events.send(StreamEvent::Item(item.clone())).is_ok(),
-                )
-            };
-            server_span.finish();
-            let _ = events.send(StreamEvent::Done(summary));
-            // Same post-reply auto-compaction and autotuning as the
-            // dispatch path.
-            if let Some(durable) = &durable {
-                let _ = durable.maybe_checkpoint(Some(&registry));
-            }
-            let _ = registry.maybe_autotune();
-        });
-        BatchStream { receiver, buffered: VecDeque::new(), done: None }
+        Ok(BatchStream { inner: self.admit(RequestEnvelope::batch(batch), true, true)? })
     }
 
     /// Submits a single-record request and blocks for its response.
@@ -1488,40 +1123,41 @@ impl Server {
         self.submit(request)?.wait()
     }
 
-    /// Submits a batch and blocks for its response.
+    /// Submits a batch and blocks for its response: a
+    /// [`Server::submit_batch_streaming`] drained to its summary.
     ///
     /// # Errors
     /// Propagates submission errors and whole-batch refusals (per-item
     /// failures are reported inside the response).
     pub fn execute_batch(&self, batch: BatchReleaseRequest) -> Result<BatchReleaseResponse> {
-        self.submit_batch(batch)?.wait()
+        self.submit_batch_streaming(batch)?.wait()
     }
 
     /// The registry the server serves from.
     pub fn registry(&self) -> &Arc<DatasetRegistry> {
-        &self.registry
+        &self.ctx.registry
     }
 
     /// The ledger the server meters budgets with.
     pub fn ledger(&self) -> &Arc<BudgetLedger> {
-        &self.ledger
+        &self.ctx.ledger
     }
 
     /// The crash-safe ledger behind this server, when it was started via
     /// [`Server::start_durable`] (`None` on a plain in-memory server).
     pub fn durable(&self) -> Option<&Arc<DurableLedger>> {
-        self.durable.as_ref()
+        self.ctx.durable.as_ref()
     }
 
     /// The resident pool executing this server's requests (and the
     /// verification engine's fork-join shards).
     pub fn pool(&self) -> &Arc<ThreadPool> {
-        &self.pool
+        &self.ctx.pool
     }
 
     /// A snapshot of the server counters, pool health included.
     pub fn metrics(&self) -> ServerMetricsSnapshot {
-        self.metrics.snapshot().with_pool(self.pool.stats())
+        self.ctx.metrics.snapshot().with_pool(self.ctx.pool.stats())
     }
 
     /// A readiness report for health endpoints: whether the server accepts
@@ -1532,9 +1168,9 @@ impl Server {
     /// in the Prometheus scrape.
     pub fn health(&self) -> HealthReport {
         let accepting = self.accepting.load(Ordering::Acquire);
-        let journal = self.durable.as_ref().map(|durable| durable.journal_health());
+        let journal = self.ctx.durable.as_ref().map(|durable| durable.journal_health());
         let ready = accepting && journal.as_ref().is_none_or(|health| health.accepting_reserves);
-        let snapshot = self.metrics.snapshot();
+        let snapshot = self.ctx.metrics.snapshot();
         HealthReport {
             accepting,
             inflight: self.inflight.current(),
@@ -1551,7 +1187,7 @@ impl Server {
     /// privacy-budget audit log, all aggregated across every layer a
     /// release touches.
     pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
+        &self.ctx.telemetry
     }
 
     /// Stops accepting requests, waits for everything in flight to resolve
@@ -1565,12 +1201,12 @@ impl Server {
         // the shutdown that actually closed the doors writes it; a failure
         // here merely leaves a longer (still valid) log for replay.
         if was_accepting {
-            if let Some(durable) = &self.durable {
-                let _ = durable.checkpoint(Some(&self.registry));
+            if let Some(durable) = &self.ctx.durable {
+                let _ = durable.checkpoint(Some(&self.ctx.registry));
             }
         }
         if self.owns_pool {
-            self.pool.shutdown();
+            self.ctx.pool.shutdown();
         }
     }
 }
@@ -1584,7 +1220,7 @@ impl Drop for Server {
 impl std::fmt::Debug for Server {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Server")
-            .field("registry", &self.registry)
+            .field("registry", &self.ctx.registry)
             .field("metrics", &self.metrics())
             .finish()
     }
@@ -1593,6 +1229,7 @@ impl std::fmt::Debug for Server {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     use pcor_core::SamplingAlgorithm;
     use pcor_data::{Attribute, Dataset, Record, Schema};
@@ -1793,9 +1430,12 @@ mod tests {
         server.shutdown();
         server.shutdown();
         assert!(matches!(server.submit(toy_request("alice", 2)), Err(ServiceError::Shutdown)));
-        assert!(matches!(server.try_submit(toy_request("alice", 3)), Err(ServiceError::Shutdown)));
         assert!(matches!(
-            server.submit_batch(toy_batch("alice", &[0, 0])),
+            server.try_submit_envelope(RequestEnvelope::single(toy_request("alice", 3))),
+            Err(ServiceError::Shutdown)
+        ));
+        assert!(matches!(
+            server.submit_envelope(RequestEnvelope::batch(toy_batch("alice", &[0, 0]))),
             Err(ServiceError::Shutdown)
         ));
         assert!(matches!(
@@ -1870,6 +1510,211 @@ mod tests {
         // populated.
         let single = server.execute(toy_request("alice", 9)).unwrap();
         assert!(single.cache_hit, "the batch must publish starting contexts to the registry");
+    }
+
+    /// The ε audit trail reduced to what a single and a batch of one must
+    /// agree on: event kinds and amounts (sequence numbers and trace ids
+    /// differ between servers).
+    fn audit_trail(server: &Server) -> Vec<(&'static str, f64)> {
+        use pcor_telemetry::BudgetEvent;
+        let events = server.telemetry().audit().events();
+        events
+            .iter()
+            .map(|event| match event {
+                BudgetEvent::Reserved { epsilon, .. } => ("reserved", *epsilon),
+                BudgetEvent::Committed { epsilon, .. } => ("committed", *epsilon),
+                BudgetEvent::Refunded { epsilon, .. } => ("refunded", *epsilon),
+                BudgetEvent::Refused { requested, .. } => ("refused", *requested),
+            })
+            .collect()
+    }
+
+    /// The server counters minus timing: mean latency and pool activity
+    /// depend on scheduling, not on what was served.
+    fn counters(server: &Server) -> ServerMetricsSnapshot {
+        ServerMetricsSnapshot {
+            mean_latency: Duration::ZERO,
+            pool_queue_depth: 0,
+            pool_tasks_executed: 0,
+            pool_tasks_stolen: 0,
+            ..server.metrics()
+        }
+    }
+
+    /// A single request and a one-item batch with the same knobs are the
+    /// same job: same release, same charge, same audit trail, same
+    /// counters — for a released record, a refunded non-outlier and a v1
+    /// envelope alike.
+    #[test]
+    fn a_single_request_serves_exactly_like_a_batch_of_one() {
+        let v2 = crate::request::PROTOCOL_VERSION;
+        for (record_id, version) in [(0, v2), (1, v2), (0, 1)] {
+            let request = ReleaseRequest { record_id, ..toy_request("alice", 11) };
+            let batch = BatchReleaseRequest::new("alice", "toy")
+                .with_detector(request.detector)
+                .with_algorithm(request.algorithm)
+                .push(
+                    BatchItem::new(record_id)
+                        .with_epsilon(request.epsilon)
+                        .with_samples(request.samples)
+                        .with_seed(request.seed),
+                );
+            let single_server = toy_server(1.0, 1);
+            let batch_server = toy_server(1.0, 1);
+            let single = single_server
+                .submit_envelope(RequestEnvelope::single(request).at_version(version))
+                .unwrap()
+                .wait();
+            let batched = batch_server
+                .submit_envelope(RequestEnvelope::batch(batch).at_version(version))
+                .unwrap()
+                .wait()
+                .unwrap();
+            assert_eq!(batched.v, version);
+            let summary = batched.into_batch().unwrap();
+            assert_eq!(summary.items.len(), 1);
+            match (single, &summary.items[0].outcome) {
+                (Ok(reply), ItemOutcome::Released(item)) => {
+                    assert_eq!(reply.v, version);
+                    let single = reply.into_single().unwrap();
+                    assert_eq!(single.context, item.context);
+                    assert_eq!(single.predicate, item.predicate);
+                    assert_eq!(single.utility, item.utility);
+                    assert_eq!(single.verification_calls, item.verification_calls);
+                    assert_eq!(single.cache_hit, item.cache_hit);
+                    assert_eq!(single.mechanism, item.mechanism);
+                    assert_eq!(single.epsilon_spent, summary.epsilon_committed);
+                    assert_eq!(single.remaining_budget, summary.remaining_budget);
+                }
+                (Err(ServiceError::Release(error)), ItemOutcome::Failed { error: item_error }) => {
+                    assert_eq!(&error, item_error);
+                    assert_eq!(summary.epsilon_committed, 0.0);
+                }
+                (single, item) => panic!("paths disagree: {single:?} vs {item:?}"),
+            }
+            for (name, read) in [
+                ("spent", BudgetLedger::spent as fn(&BudgetLedger, &str, &str) -> f64),
+                ("remaining", BudgetLedger::remaining),
+            ] {
+                assert_eq!(
+                    read(single_server.ledger(), "alice", "toy"),
+                    read(batch_server.ledger(), "alice", "toy"),
+                    "{name} ε differs for record {record_id} at v{version}"
+                );
+            }
+            assert_eq!(audit_trail(&single_server), audit_trail(&batch_server));
+            assert_eq!(counters(&single_server), counters(&batch_server));
+        }
+    }
+
+    /// 320,000 records over 4 x 8 attribute values. Record 0 sits at the
+    /// metric's mean, so it is an outlier in no context and the
+    /// starting-context search runs its full 5,000-context budget of
+    /// fresh `f_M` calls — far longer than the deadlines below. Record 1 is
+    /// a planted outlier in its own cell, cheap to release.
+    fn slow_server(workers: usize) -> Server {
+        let values: Vec<String> = (0..8).map(|v| format!("v{v}")).collect();
+        let values: Vec<&str> = values.iter().map(String::as_str).collect();
+        let schema = Schema::new(
+            ["A", "B", "C", "D"].iter().map(|name| Attribute::from_values(name, &values)).collect(),
+            "M",
+        )
+        .unwrap();
+        let records = (0..320_000usize)
+            .map(|i| {
+                let cell = [i % 8, (i / 8) % 8, (i / 64) % 8, (i / 512) % 8];
+                let metric = match i {
+                    0 => 103.0,
+                    1 => 900.0,
+                    _ => 100.0 + (i % 7) as f64,
+                };
+                Record::new(cell.iter().map(|&v| v as u16).collect(), metric)
+            })
+            .collect();
+        let registry = Arc::new(DatasetRegistry::new());
+        registry.register("slow", Dataset::new(schema, records).unwrap());
+        Server::start(
+            ServerConfig::default().with_workers(workers).with_queue_capacity(4),
+            registry,
+            Arc::new(BudgetLedger::new(10.0)),
+        )
+    }
+
+    /// A deadline that expires mid-item stops the request: the cut item and
+    /// every later one refund, the request counts once as
+    /// `deadline_exceeded` and never as `failed`, and only released items
+    /// stay charged — for a batch (even a one-item batch, where no later
+    /// item's deadline check can run) and for a single alike.
+    #[test]
+    fn a_deadline_cut_mid_item_counts_as_deadline_exceeded_not_failed() {
+        let server = slow_server(1);
+        for records in [&[0][..], &[1, 0, 0]] {
+            let before = server.metrics();
+            let batch = BatchReleaseRequest::new("alice", "slow")
+                .with_detector(DetectorKind::ZScore)
+                .with_algorithm(SamplingAlgorithm::Bfs)
+                .with_items(
+                    records
+                        .iter()
+                        .map(|&record| BatchItem::new(record).with_epsilon(0.1).with_samples(1))
+                        .collect(),
+                );
+            let envelope = RequestEnvelope::batch(batch).with_deadline_ms(10);
+            let spent_before = server.ledger().spent("alice", "slow");
+            let outcome = server.submit_envelope(envelope).unwrap().wait();
+            let after = server.metrics();
+            assert_eq!(after.deadline_exceeded, before.deadline_exceeded + 1, "{outcome:?}");
+            assert_eq!(after.failed, before.failed, "a cut item is not a failure: {outcome:?}");
+            let released: f64 = match outcome {
+                Ok(reply) => {
+                    let summary = reply.into_batch().unwrap();
+                    assert!(summary.items.len() < records.len(), "the cut item is not reported");
+                    summary.items.iter().map(|item| item.epsilon).sum()
+                }
+                // Queued past the deadline: nothing was reserved.
+                Err(ServiceError::DeadlineExceeded) => 0.0,
+                Err(other) => panic!("unexpected outcome {other}"),
+            };
+            let charged = server.ledger().spent("alice", "slow") - spent_before;
+            assert_eq!(charged, released, "only released items stay charged");
+        }
+        let before = server.metrics();
+        let single = ReleaseRequest::new("alice", "slow", 0)
+            .with_detector(DetectorKind::ZScore)
+            .with_epsilon(0.1);
+        let envelope = RequestEnvelope::single(single).with_deadline_ms(10);
+        let outcome = server.submit_envelope(envelope).unwrap().wait();
+        assert!(matches!(outcome, Err(ServiceError::DeadlineExceeded)), "{outcome:?}");
+        let after = server.metrics();
+        assert_eq!(after.deadline_exceeded, before.deadline_exceeded + 1);
+        assert_eq!(after.failed, before.failed);
+        let outstanding: f64 = server.ledger().snapshot().iter().map(|entry| entry.reserved).sum();
+        assert_eq!(outstanding, 0.0);
+    }
+
+    /// The `service.release` fault seam fires for streamed batches too: a
+    /// scripted panic there fails the stream and leaves no ε behind.
+    #[test]
+    fn streamed_batches_pass_the_service_release_fault_seam() {
+        use pcor_faults::{FaultKind, FaultPlan, ScheduledFault};
+        let faults = FaultPlan::scripted(vec![ScheduledFault {
+            site: site::SERVICE_RELEASE.to_string(),
+            hit: 1,
+            kind: FaultKind::Panic,
+        }])
+        .build();
+        let registry = Arc::new(DatasetRegistry::new());
+        registry.register("toy", toy_dataset());
+        let server = Server::start(
+            ServerConfig::default().with_workers(1).with_faults(faults),
+            registry,
+            Arc::new(BudgetLedger::new(10.0)),
+        );
+        let stream = server.submit_batch_streaming(toy_batch("alice", &[0, 0])).unwrap();
+        assert!(stream.wait().is_err(), "a panicked serving task cannot answer");
+        let outstanding: f64 = server.ledger().snapshot().iter().map(|entry| entry.reserved).sum();
+        assert_eq!(outstanding, 0.0);
+        assert_eq!(server.ledger().spent("alice", "toy"), 0.0);
     }
 
     #[test]
@@ -2012,7 +1857,7 @@ mod tests {
         assert!((server.ledger().remaining("alice", "toy") - 1.0).abs() < 1e-12);
     }
 
-    /// `try_submit` must refuse with `QueueFull` while a slow batch holds
+    /// `try_submit_envelope` must refuse with `QueueFull` while a slow batch holds
     /// the only in-flight slot — back-pressure for load generators, now
     /// enforced by the admission counter rather than a channel.
     #[test]
@@ -2027,11 +1872,11 @@ mod tests {
         );
         // A heavy batch occupies the single in-flight slot for a while.
         let slow = toy_batch("alice", &vec![0; 64]);
-        let slow_handle = server.submit_batch(slow).unwrap();
+        let slow_handle = server.submit_envelope(RequestEnvelope::batch(slow)).unwrap();
         let mut queued = Vec::new();
         let mut saw_queue_full = false;
         for seed in 0..10_000 {
-            match server.try_submit(toy_request("bob", seed)) {
+            match server.try_submit_envelope(RequestEnvelope::single(toy_request("bob", seed))) {
                 Ok(handle) => queued.push(handle),
                 Err(ServiceError::QueueFull) => {
                     saw_queue_full = true;
@@ -2130,7 +1975,9 @@ mod tests {
         );
         // A heavy batch occupies the single worker long enough for the
         // 1 ms deadline behind it to expire in the queue.
-        let slow = server.submit_batch(toy_batch("alice", &vec![0; 64])).unwrap();
+        let slow = server
+            .submit_envelope(RequestEnvelope::batch(toy_batch("alice", &vec![0; 64])))
+            .unwrap();
         let envelope = RequestEnvelope::single(toy_request("bob", 1)).with_deadline_ms(1);
         let pending = server.submit_envelope(envelope).unwrap();
         match pending.wait() {
@@ -2152,7 +1999,6 @@ mod tests {
     #[test]
     fn admission_sheds_doomed_deadlines_under_injected_skew() {
         use pcor_faults::{FaultKind, FaultPlan, ScheduledFault};
-        use std::time::Duration;
         // The first pass of the service seam advances the injected clock
         // by an hour: every later deadline is effectively already over.
         let faults = FaultPlan::scripted(vec![ScheduledFault {
@@ -2177,7 +2023,9 @@ mod tests {
         server.execute(toy_request("alice", 1)).unwrap();
         assert!(faults.skew() >= Duration::from_secs(3600));
         // Hold the worker so the in-flight count is nonzero…
-        let slow = server.submit_batch(toy_batch("alice", &vec![0; 64])).unwrap();
+        let slow = server
+            .submit_envelope(RequestEnvelope::batch(toy_batch("alice", &vec![0; 64])))
+            .unwrap();
         // …then a deadlined request is doomed (estimated wait > 0 ≥ the
         // skew-collapsed deadline) and must be shed at admission.
         let envelope = RequestEnvelope::single(toy_request("bob", 2)).with_deadline_ms(1);
